@@ -30,7 +30,7 @@ TimeNs collective_time(std::int64_t n_elems, ccl::AllReduceAlgo algo) {
   ccl::Communicator comm(machine, pes);
   TimeNs out = 0;
   time_collective(machine.engine(), comm, n_elems, algo, out);
-  machine.engine().run();
+  machine.run_all();
   return out;
 }
 

@@ -113,7 +113,7 @@ TimeNs run_split(int splits) {
   SplitRunner runner{machine, world, splits};
   bool done = false;
   runner.go(machine.engine(), done);
-  machine.engine().run();
+  machine.run_all();
   FCC_CHECK(done && machine.engine().live_tasks() == 0);
   return runner.total;
 }

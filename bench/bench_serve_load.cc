@@ -17,10 +17,9 @@
 //
 // Second section: one serve point re-run on the sharded engine at 1/2/4/8
 // shards, on a dedicated 8-node x 1-GPU fully-connected machine (the sweep
-// fabrics are single-node, and shards partition node-aligned; the torus is
-// skipped deliberately — deferred-reservation replay is only order-exact
-// for a single operator's per-PE issue streams, and concurrent serving
-// lanes interleave same-timestamp issues across PEs, see shmem/world.h).
+// fabrics are single-node, and shards partition node-aligned; the torus
+// sweep fabric is not re-run here — its serial == sharded serving identity
+// is pinned by tests/test_fused_sharded.cc).
 // Request records and aggregates are asserted byte-identical to the serial
 // engine; measured + attainable host speedups land under
 // `fused_shard_scaling` in host_perf.json next to the Fig. 15 flagship.

@@ -133,7 +133,7 @@ TimeNs run_point(const Scenario& sc) {
   } else {
     drive_allreduce(comm, sc.elems, sc.ar_algo);
   }
-  m.engine().run();
+  m.run_all();
   return comm.last_duration();
 }
 

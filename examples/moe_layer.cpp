@@ -169,7 +169,7 @@ int run_dsl_path() {
 
   bool done = false;
   run_kernel(machine.engine(), kernel, lc, done);
-  machine.engine().run();
+  machine.run_all();
 
   // Spot-check one returned row against the reference GEMM.
   const auto ref = ops::gemm_reference(shape, a, b);

@@ -14,17 +14,16 @@ constexpr Bytes elems_to_bytes(std::int64_t n) { return n * 4; }
 
 /// Runs a link-reservation sweep and hands back the computed end time.
 ///
-/// Serial machines compute inline in await_ready — no suspension, so the
-/// event sequence is byte-identical to the historical inline sweeps.
-/// Sharded machines suspend the (shard-0) driver and defer the sweep to the
-/// next window barrier, where every shard thread is parked: the sweep reads
-/// and reserves link state across all shards data-race-free, then the
-/// driver resumes at the exact computed end (a rewind entry when shard 0's
+/// Unwindowed machines (lookahead 0) compute inline in await_ready — no
+/// suspension, so the event sequence is byte-identical to the historical
+/// inline sweeps. Windowed machines (sharded, or a torus at any shard
+/// count) suspend the (shard-0) driver and defer the sweep to the next
+/// window barrier, where every shard is parked: the sweep reads and
+/// reserves link state across all shards data-race-free, then the driver
+/// resumes at the exact computed end (a rewind entry when shard 0's
 /// frontier already passed it — legal, the continuation only touches
-/// shard-0 host state before its next >= lookahead delay). Collectives that
-/// overlap other put traffic inside the same window therefore serialize
-/// their reservations at the barrier, an ordering approximation consistent
-/// with the sharded engine's same-timestamp tie-breaking caveat.
+/// shard-0 host state before its next >= lookahead delay). Sweeps run after
+/// the window's deferred PUT replay, at every shard count alike.
 class SweepAwaiter {
  public:
   SweepAwaiter(gpu::Machine& machine, TimeNs t0,
@@ -32,7 +31,7 @@ class SweepAwaiter {
       : machine_(machine), t0_(t0), sweep_(std::move(sweep)) {}
 
   bool await_ready() {
-    if (machine_.is_sharded()) return false;
+    if (machine_.lookahead() > 0) return false;
     end_ = sweep_(t0_);
     return true;
   }

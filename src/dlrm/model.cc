@@ -180,7 +180,7 @@ DlrmResult DlrmModel::forward(std::uint64_t seed) {
     };
     bool stage_done = false;
     Join::go(engine, join, stage_done);
-    engine.run();
+    machine.run_all();
     FCC_CHECK_MSG(stage_done && engine.live_tasks() == 0,
                   "DLRM overlapped stage deadlocked");
   }
@@ -210,7 +210,7 @@ DlrmResult DlrmModel::forward(std::uint64_t seed) {
     };
     bool tail_done = false;
     Join::go(engine, join, tail_done);
-    engine.run();
+    machine.run_all();
     FCC_CHECK(tail_done);
     // Split the tail between interaction and top MLP by cost proportion is
     // not needed; record the lump under top_mlp and measure interaction on

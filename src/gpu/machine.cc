@@ -126,23 +126,35 @@ Machine::Machine(const Config& config)
                                 config.gpus_per_node, config.fabric,
                                 config.ib);
 
-  if (is_sharded()) {
-    defer_inter_node_ = !topology_->inter_node_state_src_local();
+  // Deferral is a property of the fabric, not of the shard count: a torus
+  // replays its reservations at window barriers even on one shard, so serial
+  // and sharded runs share one reservation order.
+  defer_inter_node_ = !topology_->inter_node_state_src_local();
+  if (is_sharded() || defer_inter_node_) {
     std::vector<int> node_shard(static_cast<std::size_t>(config.num_nodes));
     for (NodeId n = 0; n < config.num_nodes; ++n) {
       // Deferred-reservation fabrics apply *every* inter-node delivery at a
       // window barrier (not just cross-shard ones), so their lookahead must
       // floor over all inter-node pairs: ask with each node as its own
-      // shard. Eager fabrics only push cross-shard deliveries through the
-      // mailbox and may use the (larger or equal) cross-shard floor.
+      // shard. Source-local fabrics only push cross-shard deliveries
+      // through the mailbox and may use the (larger or equal) cross-shard
+      // floor.
       node_shard[static_cast<std::size_t>(n)] =
           defer_inter_node_ ? n : shard_of(n * config.gpus_per_node);
     }
     lookahead_ = topology_->min_inter_shard_latency(node_shard);
     FCC_CHECK_MSG(lookahead_ > 0,
-                  "Machine::Config: cross-shard lookahead is zero "
-                  "(zero-latency inter-node links); conservative sharded "
-                  "execution needs a positive latency floor");
+                  "Machine::Config: inter-node lookahead is zero "
+                  "(zero-latency inter-node links); windowed execution "
+                  "(num_shards > 1 or a torus fabric) needs a positive "
+                  "latency floor");
+    for (int s = 0; s < sharded_.num_shards(); ++s) {
+      sharded_.shard(s).forbid_run(
+          "engine().run() on a windowed gpu::Machine (lookahead > 0: "
+          "sharded, or a torus fabric) would skip the window barriers that "
+          "apply deferred reservations and collective sweeps; drive the "
+          "machine with Machine::run_all() instead");
+    }
   }
 }
 
@@ -171,8 +183,8 @@ sim::Trace Machine::merged_trace() const {
 }
 
 void Machine::call_at_barrier(std::function<void()> fn) {
-  FCC_CHECK_MSG(is_sharded(),
-                "call_at_barrier is only meaningful on sharded machines");
+  FCC_CHECK_MSG(lookahead_ > 0,
+                "call_at_barrier is only meaningful on windowed machines");
   if (barrier_hook_ < 0) {
     // Registered lazily — on first use, i.e. after every World hook — so
     // deferred-fabric put replay always precedes collective sweeps at a
@@ -187,7 +199,7 @@ void Machine::call_at_barrier(std::function<void()> fn) {
 }
 
 sim::ShardedEngine::RunStats Machine::run_all(unsigned num_threads) {
-  if (!is_sharded()) {
+  if (lookahead_ == 0) {
     sim::ShardedEngine::RunStats stats;
     stats.events = engine().run();
     stats.windows = 1;

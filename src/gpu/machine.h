@@ -36,11 +36,10 @@ class Machine {
     hw::TopologySpec topology;  // fully-connected by default
     bool collect_trace = false;
 
-    /// Engine shards for conservative-lookahead parallel simulation. 1 =
-    /// the classic serial engine (every existing workload). With > 1, PEs
-    /// are partitioned node-aligned across shards (torus configs get grid
-    /// tiles, others contiguous node blocks) and the machine must be driven
-    /// through `run_all` / `sharded()` rather than `engine().run()`.
+    /// Engine shards for conservative-lookahead parallel simulation. With
+    /// > 1, PEs are partitioned node-aligned across shards (torus configs
+    /// get grid tiles, others contiguous node blocks). Results do not depend
+    /// on this count; drive every machine through `run_all()`.
     int num_shards = 1;
 
     /// Optional explicit PE→shard map (size num_pes). Must be node-aligned:
@@ -51,8 +50,9 @@ class Machine {
 
   explicit Machine(const Config& config);
 
-  /// The serial engine (shard 0). For num_shards == 1 machines this is the
-  /// whole simulator, exactly as before sharding existed.
+  /// Shard 0's engine: the driver shard, and the whole simulator when
+  /// num_shards == 1. Schedule on it, but advance it only via run_all():
+  /// on a windowed machine (lookahead() > 0) its run() throws.
   sim::Engine& engine() { return sharded_.shard(0); }
 
   /// Shard 0's trace buffer — the whole trace on serial machines. Writers
@@ -81,19 +81,21 @@ class Machine {
   }
   sim::Engine& engine_of(PeId pe) { return sharded_.shard(shard_of(pe)); }
 
-  /// Conservative lookahead window (ns) for sharded runs; 0 when serial.
+  /// Conservative lookahead window (ns). Positive on a windowed machine —
+  /// one that is sharded or defers inter-node reservations — and 0 on a
+  /// serial machine with source-local fabric state, which runs unwindowed.
   TimeNs lookahead() const { return lookahead_; }
 
   /// True when inter-node route state is not source-local (torus ring
-  /// links): the shmem world must defer inter-node reservations to window
-  /// barriers instead of reserving eagerly at issue time.
+  /// links): the shmem world defers inter-node reservations to window
+  /// barriers instead of reserving at issue time, at every shard count.
   bool defer_inter_node() const { return defer_inter_node_; }
 
   /// Whether the fused-operator stack (FusedOp / Graph / serve) can run on
   /// this machine. Sharded machines spawn per-PE kernel bodies cross-shard
   /// at t0 + kernel_launch_ns, which must land beyond the conservative
   /// window — so the GPU's kernel-launch latency must cover the lookahead.
-  /// Always true serial; true for every stock spec/fabric combination.
+  /// Always true on one shard; true for every stock spec/fabric combination.
   bool supports_fused_ops() const {
     return !is_sharded() || config_.gpu.kernel_launch_ns >= lookahead_;
   }
@@ -103,12 +105,13 @@ class Machine {
   /// including rewind-scheduling with Engine::schedule_at_unchecked).
   /// Callbacks run in enqueue order — shard 0's program order, since only
   /// the driver shard's thread enqueues. ccl::Communicator routes its
-  /// link-horizon reservation sweeps through this on sharded machines.
+  /// link-horizon reservation sweeps through this on windowed machines.
   void call_at_barrier(std::function<void()> fn);
 
-  /// Runs the simulation to completion: the windowed parallel protocol when
-  /// sharded, a plain serial `engine().run()` otherwise (reported as one
-  /// window). `num_threads` is only meaningful when sharded.
+  /// Runs the simulation to completion: the windowed protocol when
+  /// lookahead() > 0, on at most `num_threads` threads (0 = one per shard,
+  /// capped by the host's cores); a plain `engine().run()` otherwise,
+  /// reported as one window.
   sim::ShardedEngine::RunStats run_all(unsigned num_threads = 0);
 
   /// Stats of the most recent run_all(). Layers that drive the machine but

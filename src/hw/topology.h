@@ -178,11 +178,12 @@ class Topology {
 
   /// True when every link/NIC an inter-node route reserves belongs to the
   /// *source node* (fully-connected: src NIC; switched: src uplink + src
-  /// NIC; multi-rail: src-affinity rail). The sharded world then reserves
-  /// inter-node routes eagerly at issue time — a node-aligned partition
-  /// makes that state single-shard-touched. The torus returns false: its
-  /// routes ride ring links owned by intermediate nodes, so reservations
-  /// must be serialized at window barriers instead (shmem::World).
+  /// NIC; multi-rail: src-affinity rail). shmem::World then reserves
+  /// inter-node routes at issue time — a node-aligned partition makes that
+  /// state single-shard-touched. The torus returns false: its routes ride
+  /// ring links owned by intermediate nodes, so reservations are serialized
+  /// at window barriers instead, and gpu::Machine windows such a fabric at
+  /// every shard count, one included.
   virtual bool inter_node_state_src_local() const { return true; }
 
   /// Conservative lookahead for a sharded run under the given node→shard
@@ -381,8 +382,8 @@ class TorusTopology final : public Topology {
     return fabrics_.empty() ? nullptr : fabrics_.at(node).get();
   }
 
-  /// Torus routes traverse ring links owned by intermediate nodes, so a
-  /// sharded world must serialize reservations at window barriers.
+  /// Torus routes traverse ring links owned by intermediate nodes, so the
+  /// world serializes reservations at window barriers, at any shard count.
   bool inter_node_state_src_local() const override { return false; }
 
   /// Closed form: every inter-node route crosses at least one ring link, so

@@ -29,7 +29,7 @@ namespace fcc::shmem {
 class FlagArray {
  public:
   /// Single-engine form: every PE's wakeups go through `engine` — a
-  /// convenience for serial machines, equivalent to the per-PE form with
+  /// convenience for one-shard machines, equivalent to the per-PE form with
   /// every entry pointing at the one engine.
   FlagArray(sim::Engine& engine, int num_pes, std::size_t n)
       : engines_(static_cast<std::size_t>(num_pes), &engine),

@@ -11,7 +11,7 @@ World::World(gpu::Machine& machine)
       drain_waiters_(static_cast<std::size_t>(machine.num_pes())),
       puts_issued_(static_cast<std::size_t>(machine.num_pes()), 0),
       deferred_(static_cast<std::size_t>(machine.num_shards())) {
-  if (machine_.is_sharded() && machine_.defer_inter_node()) {
+  if (machine_.defer_inter_node()) {
     barrier_hook_ =
         machine_.sharded().add_barrier_hook([this] { drain_deferred(); });
   }
@@ -29,39 +29,31 @@ void World::issue_put(PeId src, PeId dst, Bytes bytes,
   start_tracking(src);
   sim::Engine& home = machine_.engine_of(src);
   const TimeNs now = home.now();
-  if (machine_.is_sharded() &&
+  if (machine_.defer_inter_node() &&
       machine_.route_class(src, dst) == hw::RouteClass::kInterNode) {
-    const int src_shard = machine_.shard_of(src);
-    if (machine_.defer_inter_node()) {
-      // Torus: the route's ring links belong to intermediate nodes, so the
-      // reservation itself must wait for the barrier's serial replay.
-      deferred_[static_cast<std::size_t>(src_shard)].puts.push_back(
-          PendingPut{now, src, dst, bytes, std::move(cb)});
-      return;
-    }
-    // Source-local route state (src NIC / uplink / rail): reserve eagerly.
-    // Only this node's PUTs touch that state and the node lives on one
-    // shard, so the reservation order equals the serial engine's order.
-    const TimeNs delivery = machine_.remote_write_time(src, dst, bytes, now);
-    const int dst_shard = machine_.shard_of(dst);
-    if (dst_shard == src_shard) {
-      schedule_delivery(home, delivery, src, std::move(cb));
-    } else {
-      // Delivery applies on the destination's shard via the mailbox;
-      // tracking finishes at the same instant on the source's own shard.
-      if (cb) {
-        machine_.sharded().post(src_shard, dst_shard, delivery,
-                                std::move(cb));
-      }
-      auto* self = this;
-      home.schedule_at(delivery, [self, src] { self->finish_tracking(src); });
-    }
+    // Torus: the route's ring links belong to intermediate nodes, so the
+    // reservation itself waits for the barrier's serial replay.
+    deferred_[static_cast<std::size_t>(machine_.shard_of(src))]
+        .puts.push_back(PendingPut{now, src, dst, bytes, std::move(cb)});
     return;
   }
-  // Serial machine, or self/intra-node on a sharded one (node-aligned
-  // partition: src and dst share a shard) — the classic path, byte-for-byte.
+  // Source-local route state (self, intra-node, or the src NIC / uplink /
+  // rail): only this node's PUTs touch it and the node lives on one shard,
+  // so reserving at issue time gives the same order at every shard count.
   const TimeNs delivery = machine_.remote_write_time(src, dst, bytes, now);
-  schedule_delivery(home, delivery, src, std::move(cb));
+  const int src_shard = machine_.shard_of(src);
+  const int dst_shard = machine_.shard_of(dst);
+  if (dst_shard == src_shard) {
+    schedule_delivery(home, delivery, src, std::move(cb));
+    return;
+  }
+  // Delivery applies on the destination's shard via the mailbox; tracking
+  // finishes at the same instant on the source's own shard.
+  if (cb) {
+    machine_.sharded().post(src_shard, dst_shard, delivery, std::move(cb));
+  }
+  auto* self = this;
+  home.schedule_at(delivery, [self, src] { self->finish_tracking(src); });
 }
 
 void World::drain_deferred() {
@@ -82,10 +74,9 @@ void World::drain_deferred() {
       order.push_back(Tag{puts[i].t, puts[i].src, s, i});
     }
   }
-  // (issue time, src PE, per-shard seq): reservations replay in the
-  // serial engine's time order; same-time ties break by source PE (the
-  // serial engine breaks them by global insertion seq instead — the only
-  // divergence this protocol permits).
+  // (issue time, src PE, per-shard seq): a total order independent of the
+  // shard count — each PE lives on one shard, so its puts keep their issue
+  // order there — and therefore the one reservation order of every run.
   std::sort(order.begin(), order.end(), [](const Tag& a, const Tag& b) {
     if (a.t != b.t) return a.t < b.t;
     if (a.src != b.src) return a.src < b.src;
@@ -93,7 +84,8 @@ void World::drain_deferred() {
   });
   // The hook runs with every shard stopped, so deliveries go straight onto
   // the destination engines — no mailbox round-trip; replay order assigns
-  // the engine tie-break seqs, exactly like issue order does serially.
+  // the engine tie-break seqs, just as issue order does on the reserve-now
+  // path.
   // Conservative lookahead guarantees delivery >= the issuing window's end,
   // so these never schedule into a shard's past.
   for (const Tag& tag : order) {
@@ -105,11 +97,7 @@ void World::drain_deferred() {
     sim::Engine& src_engine = machine_.engine_of(p.src);
     sim::Engine& dst_engine = machine_.engine_of(p.dst);
     if (&dst_engine == &src_engine) {
-      dst_engine.schedule_at(delivery,
-                             [self, src = p.src, cb = std::move(p.cb)] {
-                               if (cb) cb();
-                               self->finish_tracking(src);
-                             });
+      schedule_delivery(dst_engine, delivery, p.src, std::move(p.cb));
     } else {
       // Delivery lands on the destination's shard; tracking finishes at
       // the same instant on the source's own shard.

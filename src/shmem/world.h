@@ -14,27 +14,20 @@
 // matching the HDP flush + ordering semantics the paper relies on — and
 // `quiet()` waits for all of this PE's outstanding deliveries.
 //
-// Sharded machines (gpu::Machine num_shards > 1) keep every piece of World
-// state shard-local: outstanding counters, drain waiters, and per-PE put
-// counters are only touched from the owning PE's home shard. Inter-node
-// PUTs follow one of two paths:
+// World state is shard-local: outstanding counters, drain waiters, and
+// per-PE put counters are only touched from the owning PE's home shard.
+// A PUT takes one of two paths, chosen by the fabric alone:
 //
-//   * eager (fully-connected / switched / multi-rail): the route's state is
-//     source-node-local, so the reservation happens at issue time exactly
-//     as in the serial engine; only the *delivery* callback crosses shards,
-//     as a mailbox message applied on the destination's shard.
-//   * deferred (torus): routes ride ring links owned by third-party nodes,
-//     so reservations are queued per shard and replayed at every window
-//     barrier in (issue time, src PE, per-PE seq) order — a single serial
-//     consistency point that matches the serial engine's time-ordered
-//     reservation sequence. With one PE per node and one operator in
-//     flight this reproduces the serial engine's same-timestamp issue
-//     order exactly (per-PE chains are spawned and advance in PE order);
-//     nodes with several GPUs — or several concurrently-running operators,
-//     e.g. serving lanes — can interleave same-timestamp issues across PEs
-//     in an emergent event order no per-shard replay can reconstruct, so
-//     byte-identity on deferred fabrics is only guaranteed for single-GPU
-//     nodes running one operator at a time.
+//   * reserve now: self, intra-node, and inter-node routes whose state is
+//     source-node-local (fully-connected / switched / multi-rail) reserve at
+//     issue time. The delivery callback runs on the source's shard when the
+//     destination shares it, and otherwise crosses as a mailbox message.
+//   * deferred (torus inter-node): routes ride ring links owned by
+//     third-party nodes, so reservations are queued per shard and replayed
+//     at every window barrier in (issue time, src PE, per-PE seq) order.
+//     The machine windows a torus at every shard count, one included, so
+//     this replay is the only torus reservation order and serial runs equal
+//     sharded ones by construction.
 #pragma once
 
 #include <coroutine>
@@ -70,8 +63,8 @@ class World {
 
   /// Non-blocking PUT of `bytes` from `src` to `dst`. The coroutine returns
   /// to the caller as soon as the issue cost has elapsed; `on_deliver` (may
-  /// be empty) runs when the data is visible at `dst` — on `dst`'s home
-  /// shard when the machine is sharded.
+  /// be empty) runs when the data is visible at `dst`, on `dst`'s home
+  /// shard.
   sim::Co put_nbi(PeId src, PeId dst, Bytes bytes, IssueKind kind,
                   std::function<void()> on_deliver = {}) {
     co_await issue_cost(src, dst, kind);
@@ -162,14 +155,14 @@ class World {
   }
 
   /// Post-issue bookkeeping and delivery scheduling; see the header comment
-  /// for the eager/deferred split. Defined in world.cc.
+  /// for the two paths. Defined in world.cc.
   void issue_put(PeId src, PeId dst, Bytes bytes, std::function<void()> cb);
 
   /// Barrier hook (deferred mode): replays all queued reservations in
   /// (issue time, src PE, per-PE seq) order and posts their deliveries.
   void drain_deferred();
 
-  /// Schedules the serial-shape delivery event ({callback; finish}) on `e`.
+  /// Schedules the same-shard delivery event ({callback; finish}) on `e`.
   void schedule_delivery(sim::Engine& e, TimeNs t, PeId src,
                          std::function<void()> cb) {
     auto* self = this;

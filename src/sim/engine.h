@@ -162,6 +162,7 @@ class Engine {
   /// processed. If coroutine processes are still suspended on conditions
   /// afterwards (live_tasks() > 0) the simulation deadlocked.
   std::size_t run() {
+    FCC_CHECK_MSG(run_forbidden_ == nullptr, run_forbidden_);
     std::size_t processed = 0;
     for (;;) {
       // Single-pending fast cycle: one in-flight event ping-ponging through
@@ -181,6 +182,11 @@ class Engine {
       ++processed;
     }
   }
+
+  /// Makes run() throw `why`: for engines that only a windowed driver may
+  /// advance (run_until stays legal), such as a gpu::Machine shard whose
+  /// barrier hooks would be skipped by a plain run().
+  void forbid_run(const char* why) { run_forbidden_ = why; }
 
   /// Runs events with time <= `deadline`. Returns events processed.
   std::size_t run_until(TimeNs deadline) {
@@ -414,6 +420,7 @@ class Engine {
   TimeNs now_ = 0;
   std::uint64_t next_seq_ = 0;
   int live_tasks_ = 0;
+  const char* run_forbidden_ = nullptr;  // see forbid_run()
 };
 
 }  // namespace fcc::sim

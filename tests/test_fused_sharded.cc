@@ -13,7 +13,8 @@
 //      Session reproduces the serial node results and makespan.
 //   3. serve::Simulator — a warm sharded simulator replays a trace with
 //      records identical to the serial machine's, twice (warm re-run
-//      stability under sharding).
+//      stability under sharding), on a fully-connected fabric and on a
+//      torus with two GPUs per node.
 //   4. Capability check — a sharded machine whose kernel-launch latency is
 //      below the fabric's conservative lookahead cannot host fused ops and
 //      must say so actionably at simulator construction.
@@ -239,13 +240,14 @@ TEST(FusedSharded, GraphDiamondMatchesSerial) {
 // 3. Warm sharded serving determinism
 // ---------------------------------------------------------------------------
 
-serve::ServeReport serve_once(const gpu::Machine::Config& mc, int repeats) {
+serve::ServeReport serve_once(const gpu::Machine::Config& mc, int repeats,
+                              double rps = 4e4) {
   gpu::Machine machine(mc);
   shmem::World world(machine);
   auto catalog = serve::default_catalog(machine.num_pes());
   const auto weights = serve::class_weights(catalog);
   serve::Simulator sim(machine, world, std::move(catalog));
-  const auto trace = serve::poisson_trace(4e4, 80, 99, weights);
+  const auto trace = serve::poisson_trace(rps, 80, 99, weights);
 
   serve::ServeReport report = sim.run(trace);
   for (int rep = 1; rep < repeats; ++rep) {
@@ -266,6 +268,24 @@ TEST(FusedSharded, WarmShardedServeIsDeterministicAndMatchesSerial) {
     EXPECT_EQ(sharded.records, serial.records) << "shards=" << shards;
     EXPECT_EQ(sharded.overall, serial.overall) << "shards=" << shards;
   }
+
+  // Concurrent lanes on multi-GPU torus nodes issue same-timestamp PUTs
+  // from several PEs; the torus's one barrier-replay reservation order
+  // keeps every record identical across shard counts.
+  gpu::Machine::Config torus;
+  torus.num_nodes = 8;
+  torus.gpus_per_node = 2;
+  torus.topology.kind = hw::TopologySpec::Kind::kTorus2D;
+  torus.topology.torus.dim_x = 4;
+  torus.topology.torus.dim_y = 2;
+  const serve::ServeReport torus_serial =
+      serve_once(torus, /*repeats=*/1, /*rps=*/1e5);
+  EXPECT_GT(torus_serial.overall.completed, 0);
+  torus.num_shards = 2;
+  const serve::ServeReport torus_sharded =
+      serve_once(torus, /*repeats=*/2, /*rps=*/1e5);
+  EXPECT_EQ(torus_sharded.records, torus_serial.records);
+  EXPECT_EQ(torus_sharded.overall, torus_serial.overall);
 }
 
 // ---------------------------------------------------------------------------

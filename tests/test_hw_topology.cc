@@ -3,6 +3,9 @@
 // config validation.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "gpu/machine.h"
 #include "hw/topology.h"
 #include "shmem/world.h"
@@ -184,12 +187,47 @@ TEST(Machine, TorusTopologyRunsOnTheEventEngine) {
   shmem::World w(m);
   TimeNs delivered = -1;
   one_put(w, 0, 10, 25000, delivered, m.engine());
-  m.engine().run();
+  m.run_all();
   // RDMA issue overhead + 4 hops x (1000 ns serialization cut-through is
   // joint, so one 1000 ns window) + 4 x 700 ns hop latency.
   const TimeNs issue = m.config().ib.gpu_post_overhead_ns;
   EXPECT_EQ(delivered, issue + 1000 + 4 * 700);
   EXPECT_EQ(m.route_class(0, 10), hw::RouteClass::kInterNode);
+}
+
+TEST(Machine, WindowedMachineRejectsPlainEngineRun) {
+  // A torus defers its reservations to window barriers at every shard
+  // count; a plain engine().run() would skip them and silently drop the
+  // deliveries, so it must fail loudly and point at run_all().
+  gpu::Machine::Config mc;
+  mc.num_nodes = 4;
+  mc.gpus_per_node = 1;
+  mc.topology.kind = hw::TopologySpec::Kind::kTorus2D;
+  mc.topology.torus.dim_x = 2;
+  mc.topology.torus.dim_y = 2;
+  gpu::Machine m(mc);
+  ASSERT_GT(m.lookahead(), 0);
+  shmem::World w(m);
+  TimeNs delivered = -1;
+  one_put(w, 0, 3, 4096, delivered, m.engine());
+  try {
+    m.engine().run();
+    FAIL() << "engine().run() on a windowed machine must throw";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("Machine::run_all()"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(delivered, -1);
+  m.run_all();
+  EXPECT_GT(delivered, 0);
+
+  // Unwindowed fabrics keep the plain serial engine.
+  gpu::Machine::Config fc;
+  fc.num_nodes = 2;
+  gpu::Machine flat(fc);
+  EXPECT_EQ(flat.lookahead(), 0);
+  EXPECT_NO_THROW(flat.engine().run());
 }
 
 TEST(Machine, SwitchedTopologyEndToEnd) {

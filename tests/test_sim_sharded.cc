@@ -9,7 +9,7 @@
 //      must throw with a diagnosable message, not silently corrupt timing.
 //   3. Determinism goldens — the ShardWorkload trace must be *exactly*
 //      equal between the serial engine and the sharded engine at shard
-//      counts 1/2/4/8, on both an eager-reservation fabric (fully
+//      counts 1/2/4/8, on both a reserve-at-issue fabric (fully
 //      connected) and the deferred-replay torus, at any worker-thread
 //      count. Plus targeted mailbox edge cases: same-timestamp deliveries
 //      from different shards, flag threshold waiters satisfied by remote
@@ -157,10 +157,14 @@ TEST(ShardLookahead, FullyConnectedFloorsAtNicProcPlusWire) {
 }
 
 TEST(ShardLookahead, TorusFloorsAtOneLinkLatencyAndDefers) {
-  gpu::Machine m(torus_config(4, 2, 2, 4));
-  EXPECT_FALSE(m.topology().inter_node_state_src_local());
-  EXPECT_TRUE(m.defer_inter_node());
-  EXPECT_EQ(m.lookahead(), m.config().topology.torus.link_latency_ns);
+  // Deferral belongs to the fabric: one shard windows exactly like four.
+  for (const int shards : {1, 4}) {
+    gpu::Machine m(torus_config(4, 2, 2, shards));
+    EXPECT_FALSE(m.topology().inter_node_state_src_local());
+    EXPECT_TRUE(m.defer_inter_node()) << "shards=" << shards;
+    EXPECT_EQ(m.lookahead(), m.config().topology.torus.link_latency_ns)
+        << "shards=" << shards;
+  }
 }
 
 TEST(ShardLookahead, SerialMachineHasNoWindow) {
