@@ -106,17 +106,6 @@ class Communicator {
   sim::Co all_to_all(std::int64_t chunk_elems, FloatBufs send, FloatBufs recv,
                      AllToAllAlgo algo = AllToAllAlgo::kAuto);
 
-  /// ReduceScatter: after completion rank r holds the sum of everyone's
-  /// r-th chunk in the first `chunk_elems` of its buffer.
-  sim::Co reduce_scatter(std::int64_t chunk_elems, FloatBufs bufs);
-
-  /// AllGather of `chunk_elems` fp32 from each rank into every rank's
-  /// buffer (size N * chunk_elems, source-major).
-  sim::Co all_gather(std::int64_t chunk_elems, FloatBufs bufs);
-
-  /// Broadcast `n_elems` from `root` to all ranks.
-  sim::Co broadcast(std::int64_t n_elems, int root, FloatBufs bufs);
-
   /// Variable All-to-All (MoE dispatch with uneven routing): rank s sends
   /// counts[s * n + d] fp32 elements to rank d — the traffic matrix is
   /// data-dependent and need not be symmetric.
@@ -136,20 +125,6 @@ class Communicator {
   /// copy, not fabric traffic.
   sim::Co all_to_all_v(const std::vector<std::int64_t>& counts,
                        FloatBufs send, FloatBufs recv);
-
-  /// Gather `chunk_elems` from every rank to `root` (source-major layout
-  /// in root's buffer).
-  sim::Co gather(std::int64_t chunk_elems, int root, FloatBufs bufs);
-
-  /// Scatter `chunk_elems` per rank from `root` (destination-major layout
-  /// in root's buffer) into each rank's first chunk.
-  sim::Co scatter(std::int64_t chunk_elems, int root, FloatBufs bufs);
-
-  /// Sum-reduce `n_elems` to `root` only.
-  sim::Co reduce(std::int64_t n_elems, int root, FloatBufs bufs);
-
-  /// Bulk-synchronous barrier (direct signal exchange).
-  sim::Co barrier();
 
   /// Wall-to-wall time of the last completed collective (simulated ns).
   TimeNs last_duration() const { return last_duration_; }

@@ -40,6 +40,10 @@ void DlrmConfig::validate() const {
 DlrmModel::DlrmModel(fw::Session& session, DlrmConfig cfg)
     : session_(session), cfg_(std::move(cfg)) {
   cfg_.validate();
+  FCC_CHECK_MSG(session_.machine().lookahead() == 0,
+                "DlrmModel needs an unwindowed machine (one shard, no "
+                "torus): forward() drives every PE from shard 0's engine "
+                "through two run_all() stages");
   // Data-parallel weights: one copy, shared by every PE.
   Rng rng(0xD1C3);
   int in = cfg_.dense_dim;

@@ -48,6 +48,10 @@ struct DlrmResult {
 
 class DlrmModel {
  public:
+  /// Throws std::logic_error on a windowed machine (lookahead() > 0: sharded,
+  /// or a torus at any shard count). forward() runs every PE's MLPs on the
+  /// driver engine and chains two run_all() stages, which only an unwindowed
+  /// machine times exactly.
   DlrmModel(fw::Session& session, DlrmConfig cfg);
 
   /// One forward pass over a synthetic batch drawn from `seed`.

@@ -121,10 +121,6 @@ struct OpEntry {
       shmem::World&, const OpSpec&, Backend)>;
 
   std::string name;
-  /// Purely documentary: a human-readable description of what this op
-  /// fuses ("aten::mv + c10d::all_reduce"). Never parsed — the structured
-  /// `pattern` field is the only rewrite metadata.
-  std::string replaces;
   Factory make = nullptr;
   /// Optional: a small timing-only spec runnable on smoke_machine_config(),
   /// for registry-wide sweeps (fused-vs-baseline smoke tests, CI).

@@ -204,10 +204,6 @@ sim::Co FusedEmbeddingAllToAll::pe_kernel_wg(PeId pe, int slot, int lw) {
   }
 }
 
-sim::Co FusedEmbeddingAllToAll::emit_slice(PeId pe, int slice) {
-  co_await emit_slice_from_slot(pe, /*slot=*/0, slice);
-}
-
 sim::Co FusedEmbeddingAllToAll::emit_slice_from_slot(PeId pe, int slot,
                                                      int slice) {
   auto& machine = world_.machine();
@@ -446,7 +442,6 @@ namespace {
 
 const fw::OpRegistrar embedding_a2a_registrar{{
     .name = "fcc::embedding_a2a",
-    .replaces = "aten::embedding_bag + c10d::all_to_all",
     .make =
         [](shmem::World& world, const fw::OpSpec& spec, fw::Backend backend)
         -> std::unique_ptr<FusedOp> {

@@ -93,7 +93,6 @@ class FusedEmbeddingAllToAll final : public FusedOp {
   sim::Co pe_body(PeId pe);
   sim::Co pe_kernel_wg(PeId pe, int slot, int lw);
   sim::Co pe_epilogue(PeId pe, int slot);
-  sim::Co emit_slice(PeId pe, int slice);
   sim::Co emit_slice_from_slot(PeId pe, int slot, int slice);
   std::size_t flag_index(PeId src, int table, int group) const;
 

@@ -244,7 +244,6 @@ namespace {
 
 const fw::OpRegistrar gemm_a2a_registrar{{
     .name = "fcc::gemm_a2a",
-    .replaces = "aten::mm + c10d::all_to_all (MoE combine)",
     .make =
         [](shmem::World& world, const fw::OpSpec& spec, fw::Backend backend)
         -> std::unique_ptr<FusedOp> {

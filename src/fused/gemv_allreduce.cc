@@ -373,7 +373,6 @@ namespace {
 
 const fw::OpRegistrar gemv_allreduce_registrar{{
     .name = "fcc::gemv_allreduce",
-    .replaces = "aten::mv + c10d::all_reduce",
     .make =
         [](shmem::World& world, const fw::OpSpec& spec, fw::Backend backend)
         -> std::unique_ptr<FusedOp> {

@@ -494,8 +494,6 @@ namespace {
 
 const fw::OpRegistrar moe_dispatch_registrar{{
     .name = "fcc::moe_dispatch",
-    .replaces = "aten::mm + c10d::all_to_all_single (uneven splits, "
-                "MoE dispatch)",
     .make =
         [](shmem::World& world, const fw::OpSpec& spec, fw::Backend backend)
         -> std::unique_ptr<FusedOp> {

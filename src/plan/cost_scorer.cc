@@ -115,19 +115,15 @@ std::vector<std::string> ScorerRegistry::names() const {
   return out;
 }
 
-CostScorer::CostScorer(CostEnv env, bool use_calibration,
-                       const ScorerRegistry& models,
-                       const CalibrationTable& calibration)
-    : env_(std::move(env)),
-      use_calibration_(use_calibration),
-      models_(models),
-      calibration_(calibration) {}
+CostScorer::CostScorer(CostEnv env, const CalibrationTable& calibration,
+                       const ScorerRegistry& models)
+    : env_(std::move(env)), calibration_(calibration), models_(models) {}
 
 CostEstimate CostScorer::score(const fw::OpSpec& spec) const {
   const OpCostModel* model = models_.find(spec.name);
   if (model == nullptr) return {};
   CostEstimate est = model->estimate(spec, env_);
-  if (!est.valid || !use_calibration_) return est;
+  if (!est.valid) return est;
   const auto corr = calibration_.correction(spec.name, env_.topo_kind(),
                                             model->work(spec, env_));
   if (corr.any) {

@@ -111,10 +111,12 @@ struct ScorerRegistrar {
 
 class CostScorer {
  public:
-  explicit CostScorer(CostEnv env, bool use_calibration = true,
-                      const ScorerRegistry& models = ScorerRegistry::global(),
+  /// An empty `calibration` table (empty_calibration()) scores raw
+  /// analytic estimates.
+  explicit CostScorer(CostEnv env,
                       const CalibrationTable& calibration =
-                          builtin_calibration());
+                          builtin_calibration(),
+                      const ScorerRegistry& models = ScorerRegistry::global());
 
   /// Calibration-corrected estimate for `spec` on this scorer's machine;
   /// `valid` is false when no model is registered for the op.
@@ -127,9 +129,8 @@ class CostScorer {
 
  private:
   CostEnv env_;
-  bool use_calibration_;
-  const ScorerRegistry& models_;
   const CalibrationTable& calibration_;
+  const ScorerRegistry& models_;
 };
 
 }  // namespace fcc::plan

@@ -13,7 +13,7 @@ std::string cache_key(const PlanReport& report, const PlanOptions& options) {
   std::ostringstream os;
   os << report.graph_key << "##" << report.topo_key << "##backend="
      << (options.default_backend == fw::Backend::kFused ? "fused" : "baseline")
-     << ";cal=" << (options.use_calibration ? 1 : 0) << ";passes=";
+     << ";passes=";
   bool first = true;
   for (const std::string& p : options.passes) {
     os << (first ? "" : ",") << p;
@@ -98,10 +98,7 @@ Planned Planner::plan(const fw::Graph& graph,
 
   CostEnv env;
   env.machine = machine;
-  const CostScorer scorer(env, options.use_calibration,
-                          ScorerRegistry::global(),
-                          options.use_calibration ? builtin_calibration()
-                                                  : empty_calibration());
+  const CostScorer scorer(env);
   PassContext ctx;
   ctx.registry = &registry_;
   ctx.machine = &machine;

@@ -45,8 +45,6 @@ struct PlanOptions {
   PlanCache* cache = nullptr;
   /// Pass pipeline; empty = every default-on registered pass in order.
   std::vector<std::string> passes;
-  /// Apply measured-anchor corrections to analytic scores.
-  bool use_calibration = true;
 };
 
 struct PlanReport {

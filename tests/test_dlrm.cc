@@ -43,6 +43,27 @@ TEST(DlrmConfig, FeatureCounting) {
   EXPECT_EQ(cfg.interaction_dim(), 36 + 8);    // C(9,2) + passthrough
 }
 
+TEST(DlrmModel, RejectsWindowedMachines) {
+  // Sharded: forward() would run other shards' PEs on shard 0's engine.
+  // Torus (windowed at one shard): each run_all() stage pads to its window.
+  gpu::Machine::Config sharded;
+  sharded.num_nodes = 4;
+  sharded.gpus_per_node = 1;
+  sharded.num_shards = 2;
+  gpu::Machine::Config torus;
+  torus.num_nodes = 4;
+  torus.gpus_per_node = 1;
+  torus.topology.kind = hw::TopologySpec::Kind::kTorus2D;
+  torus.topology.torus.dim_x = 2;
+  torus.topology.torus.dim_y = 2;
+  for (const auto& mc : {sharded, torus}) {
+    fw::Session s(mc);
+    ASSERT_GT(s.machine().lookahead(), 0);
+    EXPECT_THROW(DlrmModel(s, small_dlrm(fw::Backend::kFused, false)),
+                 std::logic_error);
+  }
+}
+
 TEST(DlrmModel, ForwardProducesLogitsInUnitInterval) {
   fw::Session s(four_gpus());
   DlrmModel model(s, small_dlrm(fw::Backend::kFused, true));

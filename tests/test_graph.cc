@@ -19,8 +19,7 @@ namespace {
 // ---------------------------------------------------------------------------
 // Test-local ops: a pure-delay op (no device/fabric contention, so node
 // results depend only on start time) and a fusable producer/consumer pair
-// declared via the structured `pattern` metadata (the sole rewrite source;
-// the free-text `replaces` is documentary and never parsed).
+// declared via the structured `pattern` metadata (the sole rewrite source).
 // ---------------------------------------------------------------------------
 
 struct DelayConfig {
@@ -62,12 +61,9 @@ OpEntry delay_entry(std::string name) {
 
 const OpRegistrar delay_registrar{delay_entry("graphtest::delay")};
 
-// Fused pair registered with the structured pattern; the replaces string is
-// purely documentary and must never be parsed.
 OpEntry fused_pair_entry() {
   OpEntry e = delay_entry("graphtest::fused_pair");
   e.pattern = {"graphtest::prod", "graphtest::cons"};
-  e.replaces = "graphtest::prod + graphtest::cons (satellite smoke)";
   return e;
 }
 
@@ -344,15 +340,13 @@ TEST(RewritePass, DuplicatePatternDeclarationsThrow) {
   EXPECT_THROW(rewrite_fused(g, reg), std::logic_error);
 }
 
-TEST(RewritePass, ReplacesStringIsNeverParsed) {
-  // An entry that only documents its lineage via `replaces` — with no
-  // structured pattern — must not cause any rewrite: the string is
-  // documentary, the parser fallback is gone.
+TEST(RewritePass, EntryWithoutPatternIsNeverAFusionTarget) {
+  // An entry with no structured pattern must not cause any rewrite, even
+  // when registered next to ops its name suggests it fuses.
   OpRegistry reg;
   reg.register_op(delay_entry("doc::prod"));
   reg.register_op(delay_entry("doc::cons"));
   OpEntry fused = delay_entry("doc::fused");
-  fused.replaces = "doc::prod + doc::cons";
   reg.register_op(std::move(fused));
 
   DelayConfig cfg;

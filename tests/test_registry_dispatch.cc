@@ -41,7 +41,6 @@ class NullOp final : public fused::FusedOp {
 
 const OpRegistrar null_op_registrar{{
     .name = "test::null_op",
-    .replaces = "(nothing — extension-point smoke test)",
     .make =
         [](shmem::World& world, const OpSpec& spec, Backend backend)
         -> std::unique_ptr<fused::FusedOp> {
