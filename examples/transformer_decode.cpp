@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <sstream>
 #include <string>
 
 #include "common/table.h"
@@ -59,20 +60,26 @@ TimeNs decode_sequential(fw::Backend backend) {
   return total;
 }
 
+/// Concatenates the parts' stream forms: cat("h", 3, ".", 7) == "h3.7".
+template <typename... Parts>
+std::string cat(const Parts&... parts) {
+  std::ostringstream os;
+  (os << ... << parts);
+  return os.str();
+}
+
 /// One decode stream as a chain Graph: hidden-state tensors thread token t
 /// layer l to the next op, so every node depends on its predecessor.
 fw::Graph decode_graph(int requests) {
   fw::Graph g;
   for (int r = 0; r < requests; ++r) {
-    fw::TensorId hidden = g.tensor("h" + std::to_string(r));
+    fw::TensorId hidden = g.tensor(cat("h", r));
     for (int tok = 0; tok < kTokens; ++tok) {
       for (int l = 0; l < kLayers; ++l) {
         // Each layer consumes and rewrites the stream's hidden state.
-        fw::TensorId next = g.tensor("h" + std::to_string(r) + "." +
-                                     std::to_string(tok * kLayers + l));
+        fw::TensorId next = g.tensor(cat("h", r, ".", tok * kLayers + l));
         g.add("fcc::gemv_allreduce", layer_config(), {hidden}, {next},
-              "r" + std::to_string(r) + ".t" + std::to_string(tok) + ".l" +
-                  std::to_string(l));
+              cat("r", r, ".t", tok, ".l", l));
         hidden = next;
       }
     }

@@ -77,10 +77,9 @@ sim::Co FusedEmbeddingAllToAll::run() {
   // Reset per-run state. wg_done_/stage_ are written only by each owning
   // PE's WG bodies on its home shard; slice_rdy_ wakes waiters on each PE's
   // home engine (the World form of reset).
-  wg_done_.assign(static_cast<std::size_t>(pes),
-                  std::vector<shmem::WgDoneMask>(
-                      static_cast<std::size_t>(map.num_slices()),
-                      shmem::WgDoneMask(map.wgs_per_slice())));
+  wg_done_.reset(static_cast<std::size_t>(pes) *
+                     static_cast<std::size_t>(map.num_slices()),
+                 map.wgs_per_slice());
   slice_rdy_.reset(world_, static_cast<std::size_t>(map.num_slices()));
   if (cfg_.functional) {
     stage_.assign(static_cast<std::size_t>(pes),
@@ -198,8 +197,11 @@ sim::Co FusedEmbeddingAllToAll::pe_kernel_wg(PeId pe, int slot, int lw) {
   // WG_Done bookkeeping; the last finishing WG of the slice emits it.
   co_await dev.busy_wait(cfg_.bookkeeping_ns);
   const int slice = map.slice_of_wg(lw);
-  if (wg_done_[static_cast<std::size_t>(pe)][static_cast<std::size_t>(slice)]
-          .set_and_check_last(map.lane_in_slice(lw))) {
+  if (wg_done_.set_and_check_last(
+          static_cast<std::size_t>(pe) *
+                  static_cast<std::size_t>(map.num_slices()) +
+              static_cast<std::size_t>(slice),
+          map.lane_in_slice(lw))) {
     co_await emit_slice_from_slot(pe, slot, slice);
   }
 }

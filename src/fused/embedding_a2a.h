@@ -101,7 +101,7 @@ class FusedEmbeddingAllToAll final : public FusedOp {
   int slots_per_pe_ = 0;
 
   // Per-PE runtime state, rebuilt by run().
-  std::vector<std::vector<shmem::WgDoneMask>> wg_done_;     // [pe][slice]
+  shmem::WgDoneMaskSet wg_done_;                  // [pe * slices + slice]
   FlagSet slice_rdy_;                                       // [pe][flag]
   std::vector<std::vector<std::vector<float>>> stage_;      // [pe][slice][...]
   std::vector<std::unique_ptr<gpu::KernelRun>> runs_;

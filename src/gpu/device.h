@@ -5,17 +5,19 @@
 // bandwidth-contention curve evaluated at the *current* number of
 // compute-active WGs. Memory-bound and compute-bound kernels both fall out
 // of the same max(mem, alu) rule.
+//
+// `compute` and `busy_wait` return plain awaiters, not coroutines: the
+// awaiting workgroup body itself is what the engine resumes, so a step costs
+// one event and no coroutine frame.
 #pragma once
 
 #include <algorithm>
-#include <string>
+#include <coroutine>
 
 #include "common/types.h"
 #include "hw/gpu_spec.h"
 #include "hw/hbm_model.h"
-#include "sim/co.h"
 #include "sim/engine.h"
-#include "sim/task.h"
 
 namespace fcc::gpu {
 
@@ -72,26 +74,52 @@ class Device {
     return mem_ns > alu_ns ? mem_ns : alu_ns;
   }
 
-  /// Awaitable compute step: registers this WG as active, waits the modeled
-  /// duration, deregisters. The duration is fixed at entry from the active
-  /// count at that moment (documented approximation; workloads here run in
-  /// near-homogeneous waves).
-  sim::Co compute(WorkCost cost) {
-    ++active_wgs_;
-    const TimeNs dur = compute_duration(cost, active_wgs_);
-    busy_ns_ += dur;
-    total_bytes_ += cost.hbm_bytes;
-    total_flops_ += cost.flops;
-    co_await sim::delay(engine_, dur);
-    --active_wgs_;
-  }
+  /// Awaiter of one compute step; see compute().
+  class [[nodiscard]] ComputeStep {
+   public:
+    ComputeStep(Device& dev, const WorkCost& cost) : dev_(dev), cost_(cost) {}
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) {
+      const int active = ++dev_.active_wgs_;
+      const TimeNs dur = dev_.compute_duration(cost_, active);
+      dev_.busy_ns_ += dur;
+      dev_.total_bytes_ += cost_.hbm_bytes;
+      dev_.total_flops_ += cost_.flops;
+      dev_.engine_.schedule_resume_after(dur, h);
+    }
+    void await_resume() const noexcept { --dev_.active_wgs_; }
+
+   private:
+    Device& dev_;
+    WorkCost cost_;
+  };
+
+  /// Awaiter of a plain charged wait; see busy_wait().
+  class [[nodiscard]] BusyWait {
+   public:
+    BusyWait(Device& dev, TimeNs dur) : dev_(dev), dur_(dur) {}
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) {
+      dev_.busy_ns_ += dur_;
+      dev_.engine_.schedule_resume_after(dur_, h);
+    }
+    void await_resume() const noexcept {}
+
+   private:
+    Device& dev_;
+    TimeNs dur_;
+  };
+
+  /// Compute step: on co_await, registers this WG as active and waits the
+  /// modeled duration; the WG stays active until it resumes. The duration
+  /// is fixed at entry from the active count at that moment (documented
+  /// approximation; workloads here run in near-homogeneous waves).
+  ComputeStep compute(const WorkCost& cost) { return {*this, cost}; }
 
   /// Plain timed wait charged to this device (bookkeeping instructions,
-  /// comm-API issue cost, ...).
-  sim::Co busy_wait(TimeNs dur) {
-    busy_ns_ += dur;
-    co_await sim::delay(engine_, dur);
-  }
+  /// comm-API issue cost, ...). Even a zero wait round-trips through the
+  /// event queue, like sim::delay.
+  BusyWait busy_wait(TimeNs dur) { return {*this, dur}; }
 
   TimeNs busy_ns() const { return busy_ns_; }
   Bytes total_hbm_bytes() const { return total_bytes_; }

@@ -97,30 +97,37 @@ class KernelRun {
   int active_slots() const { return active_slots_; }
 
  private:
-  sim::Task slot_proc(sim::Engine& engine, int slot) {
+  /// Claims the next order position for a slot whose static cursor is
+  /// `own`; returns order.size() once the queue is drained. Static
+  /// assignment walks positions slot, slot + slots, ...; dynamic claiming
+  /// takes the shared cursor.
+  std::size_t claim(std::size_t& own) {
+    const std::size_t work = params_.order.size();
     if (params_.static_assignment) {
-      for (std::size_t pos = static_cast<std::size_t>(slot);
-           pos < params_.order.size();
-           pos += static_cast<std::size_t>(active_slots_)) {
-        co_await run_one(engine, slot, params_.order[pos]);
+      const std::size_t pos = own;
+      own += static_cast<std::size_t>(active_slots_);
+      return std::min(pos, work);
+    }
+    return cursor_ < work ? cursor_++ : work;
+  }
+
+  // Each logical WG's step runs inline in the slot's frame; a sub-coroutine
+  // per WG would cost one frame allocation per WG.
+  sim::Task slot_proc(sim::Engine& engine, int slot) {
+    std::size_t own = static_cast<std::size_t>(slot);
+    for (std::size_t pos = claim(own); pos < params_.order.size();
+         pos = claim(own)) {
+      const int lw = params_.order[pos];
+      if (params_.wg_dispatch_overhead_ns > 0) {
+        co_await sim::delay(engine, params_.wg_dispatch_overhead_ns);
       }
-    } else {
-      for (;;) {
-        if (cursor_ >= params_.order.size()) break;
-        const int lw = params_.order[cursor_++];
-        co_await run_one(engine, slot, lw);
+      co_await params_.body(slot, lw);
+      if (record_times_) {
+        finish_times_[static_cast<std::size_t>(lw)] = engine.now();
       }
     }
     if (params_.epilogue) co_await params_.epilogue(slot);
     done_.arrive();
-  }
-
-  sim::Co run_one(sim::Engine& engine, int slot, int lw) {
-    if (params_.wg_dispatch_overhead_ns > 0) {
-      co_await sim::delay(engine, params_.wg_dispatch_overhead_ns);
-    }
-    co_await params_.body(slot, lw);
-    if (record_times_) finish_times_[lw] = engine.now();
   }
 
   sim::Engine& engine_;

@@ -78,7 +78,7 @@ struct OpCostModel {
   std::function<double(const fw::OpSpec&, const CostEnv&)> work;
 
   /// Baseline collective steering (optional, e.g. gemv_allreduce).
-  std::vector<ccl::AllReduceAlgo> allreduce_candidates;
+  std::vector<ccl::AllReduceAlgo> allreduce_candidates = {};
   std::function<double(const fw::OpSpec&, const CostEnv&, ccl::AllReduceAlgo)>
       allreduce_time = nullptr;
   std::function<ccl::AllReduceAlgo(const fw::OpSpec&)> allreduce_algo =

@@ -214,50 +214,84 @@ class FlagArray {
   std::vector<std::uint64_t> order_seq_;      // per-flag Waiter::order source
 };
 
-/// WG-completion bitmask for one slice (WG_Done analog). The last WG to set
-/// its bit learns it is last — the paper implements the reduction with
-/// cross-lane operations instead of an inter-WG barrier; here the claim
-/// check is exact and race-free because a mask belongs to one PE and is
-/// only touched from that PE's home-shard engine (serial within a shard).
-/// Multi-word so slices may span more than 64 logical WGs.
-class WgDoneMask {
+/// WG-completion bitmasks, one per slice (WG_Done analog). The last WG to
+/// set its bit in a mask learns it is last — the paper implements the
+/// reduction with cross-lane operations instead of an inter-WG barrier;
+/// here the claim check is exact and race-free because a mask belongs to
+/// one PE and is only touched from that PE's home-shard engine (serial
+/// within a shard). Multi-word so slices may span more than 64 logical WGs.
+/// All masks share one contiguous word array that reset() clears in place,
+/// so an operator re-arms its masks every run without allocating.
+class WgDoneMaskSet {
  public:
-  explicit WgDoneMask(int num_wgs) : expected_(num_wgs) {
-    FCC_CHECK(num_wgs >= 1);
-    words_.assign(static_cast<std::size_t>((num_wgs + 63) / 64), 0);
+  WgDoneMaskSet() = default;
+  WgDoneMaskSet(std::size_t num_masks, int wgs_per_mask) {
+    reset(num_masks, wgs_per_mask);
   }
 
-  /// Sets bit `wg`; returns true iff this made the mask complete (the caller
-  /// is the last finishing WG and must issue the slice's communication).
-  bool set_and_check_last(int wg) {
+  /// Re-arms `num_masks` empty masks of `wgs_per_mask` WGs each.
+  void reset(std::size_t num_masks, int wgs_per_mask) {
+    FCC_CHECK(wgs_per_mask >= 1);
+    expected_ = wgs_per_mask;
+    words_per_mask_ = static_cast<std::size_t>((wgs_per_mask + 63) / 64);
+    words_.assign(num_masks * words_per_mask_, 0);
+    counts_.assign(num_masks, 0);
+  }
+
+  int wgs_per_mask() const { return expected_; }
+
+  /// Sets bit `wg` of mask `m`; returns true iff this made the mask complete
+  /// (the caller is the last finishing WG and must issue the slice's
+  /// communication).
+  bool set_and_check_last(std::size_t m, int wg) {
+    FCC_DCHECK(m < counts_.size());
     FCC_DCHECK(wg >= 0 && wg < expected_);
-    auto& word = words_[static_cast<std::size_t>(wg / 64)];
+    auto& word =
+        words_[m * words_per_mask_ + static_cast<std::size_t>(wg / 64)];
     const std::uint64_t bit = std::uint64_t{1} << (wg % 64);
     FCC_CHECK_MSG((word & bit) == 0, "WG done-bit set twice");
     word |= bit;
-    ++count_;
-    return count_ == expected_;
+    return ++counts_[m] == expected_;
   }
 
-  bool complete() const { return count_ == expected_; }
+  bool complete(std::size_t m) const { return counts_[m] == expected_; }
+
+  /// Every mask's words, mask-major and least-significant word first (bit
+  /// wg of mask m lives at word m * words-per-mask + wg / 64, bit wg % 64).
+  const std::vector<std::uint64_t>& all_words() const { return words_; }
+
+ private:
+  int expected_ = 1;
+  std::size_t words_per_mask_ = 1;
+  std::vector<std::uint64_t> words_;  // [mask * words_per_mask + word]
+  std::vector<int> counts_;           // bits set per mask
+};
+
+/// A single WG-completion mask: a one-mask WgDoneMaskSet.
+class WgDoneMask {
+ public:
+  explicit WgDoneMask(int num_wgs) : set_(1, num_wgs) {}
+
+  /// Sets bit `wg`; returns true iff this made the mask complete.
+  bool set_and_check_last(int wg) { return set_.set_and_check_last(0, wg); }
+
+  bool complete() const { return set_.complete(0); }
 
   /// Single-word view, valid only for masks of <= 64 WGs (wider masks would
   /// silently truncate — use words()).
   std::uint64_t mask() const {
-    FCC_CHECK_MSG(expected_ <= 64,
-                  "mask() on a " << expected_ << "-WG mask truncates; "
-                                 << "use words()");
-    return words_.front();
+    FCC_CHECK_MSG(set_.wgs_per_mask() <= 64,
+                  "mask() on a " << set_.wgs_per_mask()
+                                 << "-WG mask truncates; use words()");
+    return set_.all_words().front();
   }
 
   /// Full word span, least-significant word first (bit wg lives at
   /// words()[wg / 64] bit wg % 64).
-  const std::vector<std::uint64_t>& words() const { return words_; }
+  const std::vector<std::uint64_t>& words() const { return set_.all_words(); }
 
  private:
-  int expected_;
-  int count_ = 0;
-  std::vector<std::uint64_t> words_;
+  WgDoneMaskSet set_;
 };
 
 }  // namespace fcc::shmem

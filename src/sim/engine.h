@@ -14,19 +14,36 @@
 //     operator, and the single in-flight event of a delay chain) land in a
 //     flat staging buffer; the first pop sorts it once, descending, and
 //     drains it back-to-front — one cache-friendly std::sort instead of
-//     per-event heap repair. Events scheduled *while* events are pending
-//     go to a d-ary heap (d = 4) of the same 24-byte (time, seq, payload)
-//     entries. Each pop takes the smaller of (sorted-run back, heap root)
-//     under the (time, seq) total order, so the engine pops in exactly the
-//     same order as the std::priority_queue it replaced.
+//     per-event heap repair.
+//   * Events scheduled *while* events are pending form *runs*: a maximal
+//     sequence of consecutive schedules at one virtual time. The newest run
+//     stays open and takes every further schedule at its time; a schedule at
+//     any other time closes it into a d-ary heap (d = 4) and opens a new
+//     one. Almost every mid-drain schedule lands at the same time as the one
+//     before it (a wave of same-cost workgroups resumes at one instant), so
+//     the heap repairs once per run instead of once per event.
+//   * Ordering stays exact. A run holds a contiguous range of sequence
+//     numbers, and no other event's seq falls inside that range (the run
+//     closes as soon as anything else is scheduled). So comparing a run's
+//     key (time, first seq) against any other entry gives the same answer
+//     as comparing any one of its events, also after some of them fired; a
+//     run at the heap root drains front-to-back without re-sifting. Each
+//     pop takes the smallest of (sorted-run back, heap root, open-run
+//     front) under the (time, seq) total order: the engine pops in exactly
+//     the order of a std::priority_queue on (time, seq).
+//   * Memory rule: a run that closes with one event left becomes a plain
+//     24-byte (time, seq, payload) heap entry, exactly what it cost before
+//     runs existed. Longer runs move into a pooled run (a reusable payload
+//     vector, 8 bytes per event) keyed by one heap entry; drained runs go
+//     back on a free list with their capacity, so steady-state scheduling
+//     allocates nothing.
 //   * The overwhelming event kind is "resume this coroutine" (delay,
 //     busy_wait, flag wakeups, PUT completions). `schedule_resume_*` packs
-//     the bare handle into the heap entry's tagged payload word — no event
+//     the bare handle into the entry's tagged payload word — no event
 //     object, no allocation, no dispatch indirection beyond the resume.
 //   * Arbitrary callbacks live in a slab of fixed-size pooled nodes
 //     (chunked so node addresses are stable; freed nodes go on a free list
-//     and are reused — steady-state scheduling performs zero heap
-//     allocations). Callables up to the node's small buffer are stored
+//     and are reused). Callables up to the node's small buffer are stored
 //     inline (every callback in this codebase fits); larger ones fall back
 //     to one heap allocation, preserving the generic API.
 #pragma once
@@ -58,12 +75,14 @@ class Engine {
     // machinery or leaked with the process, matching the old behavior).
     for (const auto* q : {&staging_, &sorted_run_, &heap_}) {
       for (const HeapEntry& e : *q) {
-        if (!is_resume(e.payload)) {
-          Node& n = node(node_index(e.payload));
-          n.dispose(n.buf);
+        if (is_run(e.payload)) {
+          dispose_run(runs_[run_index(e.payload)]);
+        } else {
+          dispose_event(e.payload);
         }
       }
     }
+    dispose_run(open_);
   }
 
   TimeNs now() const { return now_; }
@@ -127,7 +146,7 @@ class Engine {
       throw;
     }
     try {
-      push_entry_unchecked(t, static_cast<std::uintptr_t>(idx) << 1);
+      push_entry_unchecked(t, static_cast<std::uintptr_t>(idx) << 2);
     } catch (...) {
       n.dispose(n.buf);
       free_.push_back(idx);
@@ -167,15 +186,15 @@ class Engine {
     for (;;) {
       // Single-pending fast cycle: one in-flight event ping-ponging through
       // the queue (a delay chain / busy-wait loop, the most common shape).
-      // By the staging invariant sorted_run_ and heap_ are empty here, so
-      // the event can fire straight out of the staging buffer.
+      // By the staging invariant the other tiers are empty here, so the
+      // event can fire straight out of the staging buffer.
       while (staging_.size() == 1) {
         const HeapEntry top = staging_.front();
         staging_.clear();
         FCC_DCHECK(top.t >= now_);
         now_ = top.t;
         ++processed;
-        fire(top);
+        fire(top.payload);
       }
       if (idle()) return processed;
       step();
@@ -191,8 +210,8 @@ class Engine {
   /// Runs events with time <= `deadline`. Returns events processed.
   std::size_t run_until(TimeNs deadline) {
     std::size_t processed = 0;
-    for (const HeapEntry* next = peek();
-         next != nullptr && next->t <= deadline; next = peek()) {
+    for (TimeNs next = next_event_time(); next != kNoEvent && next <= deadline;
+         next = next_event_time()) {
       step();
       ++processed;
     }
@@ -201,7 +220,8 @@ class Engine {
   }
 
   bool idle() const {
-    return staging_.empty() && sorted_run_.empty() && heap_.empty();
+    return staging_.empty() && sorted_run_.empty() && heap_.empty() &&
+           open_empty();
   }
 
   /// Sentinel returned by next_event_time() when no events are pending.
@@ -211,13 +231,23 @@ class Engine {
   /// the staging tier (deterministic); used by the sharded scheduler to
   /// compute conservative window bounds.
   TimeNs next_event_time() {
-    const HeapEntry* e = peek();
-    return e != nullptr ? e->t : kNoEvent;
+    flush_staging();
+    switch (next_source()) {
+      case Source::kSorted: return sorted_run_.back().t;
+      case Source::kHeap: return heap_.front().t;
+      case Source::kOpen: return open_t_;
+      case Source::kNone: break;
+    }
+    return kNoEvent;
   }
 
   /// Events scheduled but not yet fired.
   std::size_t pending() const {
-    return staging_.size() + sorted_run_.size() + heap_.size();
+    std::size_t n = staging_.size() + sorted_run_.size() + run_left(open_);
+    for (const HeapEntry& e : heap_) {
+      n += is_run(e.payload) ? run_left(runs_[run_index(e.payload)]) : 1;
+    }
+    return n;
   }
 
   /// Pooled callback nodes ever created (capacity watermark, not live
@@ -254,21 +284,53 @@ class Engine {
   /// Heap entries carry the full (time, seq) sort key, so sifting compares
   /// within one contiguous array and never dereferences the slab. The
   /// payload word is tagged: bit 0 set => the rest is a coroutine frame
-  /// address to resume (frame alignment guarantees the bit is free);
-  /// bit 0 clear => payload >> 1 is a slab node index.
+  /// address to resume (frame alignment guarantees the low bits are free);
+  /// otherwise bit 1 set => payload >> 2 is a pooled run index (heap entries
+  /// only), bit 1 clear => payload >> 2 is a slab node index.
   struct HeapEntry {
     TimeNs t;
     std::uint64_t seq;
     std::uintptr_t payload;
   };
 
+  /// Same-time events with consecutive seqs, in schedule order; `head` is
+  /// the next one to fire. Seqs are implicit: a run is keyed by the seq it
+  /// opened with, which orders it exactly (see the file comment) however
+  /// many of its events have fired.
+  struct Run {
+    std::vector<std::uintptr_t> payloads;
+    std::size_t head = 0;
+  };
+
   static bool is_resume(std::uintptr_t payload) { return (payload & 1u) != 0; }
+  static bool is_run(std::uintptr_t payload) { return (payload & 3u) == 2u; }
   static std::uint32_t node_index(std::uintptr_t payload) {
-    return static_cast<std::uint32_t>(payload >> 1);
+    return static_cast<std::uint32_t>(payload >> 2);
   }
+  static std::uint32_t run_index(std::uintptr_t payload) {
+    return static_cast<std::uint32_t>(payload >> 2);
+  }
+  static std::size_t run_left(const Run& r) {
+    return r.payloads.size() - r.head;
+  }
+  /// A run's payloads are cleared the moment its last event fires, so the
+  /// open run is empty exactly when it holds no payloads.
+  bool open_empty() const { return open_.payloads.empty(); }
 
   Node& node(std::uint32_t idx) {
     return chunks_[idx >> kChunkShift][idx & (kChunkSize - 1)];
+  }
+
+  void dispose_event(std::uintptr_t payload) {
+    if (!is_resume(payload)) {
+      Node& n = node(node_index(payload));
+      n.dispose(n.buf);
+    }
+  }
+  void dispose_run(const Run& r) {
+    for (std::size_t i = r.head; i < r.payloads.size(); ++i) {
+      dispose_event(r.payloads[i]);
+    }
   }
 
   void push_entry(TimeNs t, std::uintptr_t payload) {
@@ -277,17 +339,66 @@ class Engine {
     push_entry_unchecked(t, payload);
   }
 
+  // Kept small so it inlines into every schedule call; opening a run is the
+  // rare case and lives out of line.
   void push_entry_unchecked(TimeNs t, std::uintptr_t payload) {
-    const HeapEntry e{t, next_seq_++, payload};
-    // Invariant: staging_ is only non-empty while sorted_run_ and heap_ are
-    // both empty (no pop can intervene without flushing first), so staged
-    // events always have smaller seq than anything later pushed on the heap.
-    if (sorted_run_.empty() && heap_.empty()) {
-      staging_.push_back(e);
-    } else {
-      heap_.push_back(e);
-      sift_up(heap_.size() - 1);
+    if (open_empty()) {
+      if (sorted_run_.empty() && heap_.empty()) {
+        // Invariant: staging_ is only non-empty while every other tier is
+        // empty (no pop can intervene without flushing first), so staged
+        // events always have smaller seq than anything later queued.
+        staging_.push_back({t, next_seq_++, payload});
+        return;
+      }
+    } else if (t == open_t_) {
+      open_.payloads.push_back(payload);
+      ++next_seq_;
+      return;
     }
+    open_run(t, payload);
+  }
+
+  /// Starts a new open run holding one event, closing the current one.
+  [[gnu::noinline]] void open_run(TimeNs t, std::uintptr_t payload) {
+    if (!open_empty()) close_open_run();
+    open_.payloads.push_back(payload);
+    open_t_ = t;
+    open_seq_ = next_seq_++;
+  }
+
+  /// Moves the open run into the heap: one plain entry when a single event
+  /// is left (the pre-run cost), else one pooled run entry.
+  void close_open_run() {
+    if (run_left(open_) == 1) {
+      heap_push({open_t_, open_seq_, open_.payloads[open_.head]});
+    } else {
+      const std::uint32_t r = alloc_run();
+      try {
+        heap_push({open_t_, open_seq_,
+                   (static_cast<std::uintptr_t>(r) << 2) | 2u});
+      } catch (...) {
+        free_runs_.push_back(r);
+        throw;
+      }
+      std::swap(runs_[r], open_);  // open_ takes the pooled run's capacity
+    }
+    open_.payloads.clear();
+    open_.head = 0;
+  }
+
+  std::uint32_t alloc_run() {
+    if (!free_runs_.empty()) {
+      const std::uint32_t r = free_runs_.back();
+      free_runs_.pop_back();
+      return r;
+    }
+    runs_.emplace_back();
+    return static_cast<std::uint32_t>(runs_.size() - 1);
+  }
+
+  void heap_push(const HeapEntry& e) {
+    heap_.push_back(e);
+    sift_up(heap_.size() - 1);
   }
 
   /// Sorts the staged bulk (descending) so it drains back-to-front.
@@ -363,48 +474,83 @@ class Engine {
     heap_.pop_back();
   }
 
-  /// True iff the next event in (time, seq) order sits in heap_ rather
-  /// than sorted_run_. Pre: staging flushed, not idle.
-  bool next_is_heap() const {
-    if (sorted_run_.empty()) return true;
-    if (heap_.empty()) return false;
-    return before(heap_.front(), sorted_run_.back());
+  enum class Source { kNone, kSorted, kHeap, kOpen };
+
+  /// Tier holding the next event in (time, seq) order. Pre: staging flushed.
+  /// A run's entry compares by its first unfired seq; see the file comment.
+  Source next_source() const {
+    Source src = Source::kNone;
+    HeapEntry best{};
+    if (!sorted_run_.empty()) {
+      src = Source::kSorted;
+      best = sorted_run_.back();
+    }
+    if (!heap_.empty() &&
+        (src == Source::kNone || before(heap_.front(), best))) {
+      src = Source::kHeap;
+      best = heap_.front();
+    }
+    if (!open_empty() &&
+        (src == Source::kNone || before({open_t_, open_seq_, 0}, best))) {
+      src = Source::kOpen;
+    }
+    return src;
   }
 
-  /// Next event in (time, seq) order, or nullptr when idle. Flushes the
-  /// staging tier; the pointer is invalidated by any schedule or step.
-  const HeapEntry* peek() {
-    flush_staging();
-    if (sorted_run_.empty() && heap_.empty()) return nullptr;
-    return next_is_heap() ? &heap_.front() : &sorted_run_.back();
-  }
-
+  /// Fires the next event. Pre: not idle.
   void step() {
     flush_staging();
-    HeapEntry top;
-    if (next_is_heap()) {
-      top = heap_.front();
-      pop_root();
-    } else {
-      top = sorted_run_.back();
+    const Source src = next_source();
+    FCC_DCHECK(src != Source::kNone);
+    TimeNs t;
+    std::uintptr_t payload;
+    if (src == Source::kSorted) {
+      t = sorted_run_.back().t;
+      payload = sorted_run_.back().payload;
       sorted_run_.pop_back();
+    } else if (src == Source::kHeap) {
+      const HeapEntry& root = heap_.front();
+      t = root.t;
+      if (!is_run(root.payload)) {
+        payload = root.payload;
+        pop_root();
+      } else {
+        // A run at the root stays there until drained: its remaining
+        // events precede every other queued entry.
+        const std::uint32_t r = run_index(root.payload);
+        Run& run = runs_[r];
+        payload = run.payloads[run.head++];
+        if (run.head == run.payloads.size()) {
+          run.payloads.clear();
+          run.head = 0;
+          free_runs_.push_back(r);
+          pop_root();
+        }
+      }
+    } else {
+      t = open_t_;
+      payload = open_.payloads[open_.head++];
+      if (open_.head == open_.payloads.size()) {
+        open_.payloads.clear();
+        open_.head = 0;
+      }
     }
     // A rewind entry (schedule_at_unchecked) legitimately moves now_
     // backwards from the window deadline run_until parked it at; run_until
     // restores the frontier after the loop.
-    now_ = top.t;
-    fire(top);
+    now_ = t;
+    fire(payload);
   }
 
-  void fire(const HeapEntry& top) {
-    if (is_resume(top.payload)) {
+  void fire(std::uintptr_t payload) {
+    if (is_resume(payload)) {
       std::coroutine_handle<>::from_address(
-          reinterpret_cast<void*>(top.payload & ~std::uintptr_t{1}))
+          reinterpret_cast<void*>(payload & ~std::uintptr_t{1}))
           .resume();
     } else {
       // The callback runs in place (nodes have stable addresses, and
       // anything it schedules takes other nodes); recycle afterwards.
-      const std::uint32_t idx = node_index(top.payload);
+      const std::uint32_t idx = node_index(payload);
       Node& n = node(idx);
       n.run_and_dispose(n.buf);
       free_.push_back(idx);
@@ -413,7 +559,12 @@ class Engine {
 
   std::vector<HeapEntry> staging_;     // unsorted bulk (engine was empty)
   std::vector<HeapEntry> sorted_run_;  // staged bulk, sorted descending
-  std::vector<HeapEntry> heap_;        // d-ary heap for mid-drain schedules
+  std::vector<HeapEntry> heap_;        // d-ary heap of closed runs
+  Run open_;                           // newest run, still growing
+  TimeNs open_t_ = 0;                  // open_'s time
+  std::uint64_t open_seq_ = 0;         // seq open_ opened with
+  std::vector<Run> runs_;              // pooled closed runs of >= 2 events
+  std::vector<std::uint32_t> free_runs_;  // recycled run indices
   std::vector<std::uint32_t> free_;    // recycled node indices
   std::vector<std::unique_ptr<Node[]>> chunks_;
   std::size_t next_node_ = 0;

@@ -304,5 +304,31 @@ TEST(FusedEmbedding, DeterministicAcrossRuns) {
   EXPECT_EQ(run_once(), run_once());
 }
 
+// Recorded before the engine's same-time runs and gpu::Device's frameless
+// awaiters landed; both changes left them exactly as they were.
+constexpr std::size_t kPinnedEvents = 34098;
+constexpr TimeNs kPinnedDurationNs = 345771;
+
+TEST(FusedEmbedding, EventsPerOpArePinned) {
+  // Deterministic host-cost proxy: the BM_FusedEmbeddingSim/16 shape (2 PEs
+  // on 2 nodes, serial engine, timing-only). A host-speed change to the
+  // engine, gpu::Device or gpu::KernelRun must not move the processed-event
+  // count or the simulated duration; a semantic change that does must
+  // update both constants and say why.
+  EmbeddingA2AConfig cfg;
+  cfg.map.num_pes = 2;
+  cfg.map.tables_per_pe = 16;
+  cfg.map.global_batch = 512;
+  cfg.map.dim = 256;
+  cfg.map.vectors_per_slice = 32;
+  cfg.pooling = 64;
+  cfg.functional = false;
+  gpu::Machine m(inter_node(2));
+  shmem::World w(m);
+  const auto r = FusedEmbeddingAllToAll(w, cfg, nullptr).run_to_completion();
+  EXPECT_EQ(m.last_run_stats().events, kPinnedEvents);
+  EXPECT_EQ(r.duration(), kPinnedDurationNs);
+}
+
 }  // namespace
 }  // namespace fcc::fused

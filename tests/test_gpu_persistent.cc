@@ -9,6 +9,7 @@
 #include "gpu/persistent.h"
 #include "gpu/stream.h"
 #include "sim/engine.h"
+#include "sim/task.h"
 
 namespace fcc::gpu {
 namespace {
@@ -64,6 +65,40 @@ WorkCost mem_cost(Bytes bytes) {
 sim::Co count_body(Machine& m, std::vector<int>& executed, int lw) {
   executed.push_back(lw);
   co_await m.device(0).compute(mem_cost(1024));
+}
+
+sim::Task timed_wg(sim::Engine& e, Device& dev, const WorkCost& cost,
+                   TimeNs& end, int& active_after) {
+  co_await dev.compute(cost);
+  end = e.now();
+  active_after = dev.active_wgs();
+}
+
+TEST(Device, ComputeAwaiterHoldsActiveCountUntilResume) {
+  // Two WGs enter compute at the same instant: the second one's duration is
+  // priced at two active WGs, both stay counted until their own resume, and
+  // the count drains to zero.
+  Machine m(one_gpu());
+  Device& dev = m.device(0);
+  const WorkCost cost = mem_cost(1 << 20);
+  TimeNs end[2] = {0, 0};
+  int active_after[2] = {-1, -1};
+  int active_mid = -1;
+  timed_wg(m.engine(), dev, cost, end[0], active_after[0]);
+  EXPECT_EQ(dev.active_wgs(), 1);
+  timed_wg(m.engine(), dev, cost, end[1], active_after[1]);
+  EXPECT_EQ(dev.active_wgs(), 2);
+  m.engine().schedule_at(1, [&] { active_mid = dev.active_wgs(); });
+  m.engine().run();
+  EXPECT_EQ(active_mid, 2);
+  EXPECT_EQ(end[0], dev.compute_duration(cost, 1));
+  EXPECT_EQ(end[1], dev.compute_duration(cost, 2));
+  EXPECT_LT(end[0], end[1]);
+  EXPECT_EQ(active_after[0], 1);  // the second WG is still computing
+  EXPECT_EQ(active_after[1], 0);
+  EXPECT_EQ(dev.active_wgs(), 0);
+  EXPECT_EQ(dev.busy_ns(), end[0] + end[1]);
+  EXPECT_EQ(dev.total_hbm_bytes(), 2 * cost.hbm_bytes);
 }
 
 TEST(KernelRun, ExecutesEveryLogicalWgOnce) {
@@ -126,7 +161,7 @@ TEST(KernelRun, ParallelSlotsOverlapInTime) {
   p.num_slots = 4;
   for (int i = 0; i < 8; ++i) p.order.push_back(i);
   p.body = [&](int, int) -> sim::Co {
-    return m.device(0).compute(alu_cost(1e9));
+    co_await m.device(0).compute(alu_cost(1e9));
   };
   KernelRun run(m.engine(), p);
   run.start();
@@ -138,7 +173,7 @@ TEST(KernelRun, ParallelSlotsOverlapInTime) {
   p2.num_slots = 1;
   for (int i = 0; i < 8; ++i) p2.order.push_back(i);
   p2.body = [&](int, int) -> sim::Co {
-    return m2.device(0).compute(alu_cost(1e9));
+    co_await m2.device(0).compute(alu_cost(1e9));
   };
   KernelRun run2(m2.engine(), p2);
   run2.start();
@@ -153,7 +188,7 @@ TEST(KernelRun, RecordsFinishTimes) {
   p.num_slots = 1;
   p.order = {0, 1};
   p.body = [&](int, int) -> sim::Co {
-    return m.device(0).compute(mem_cost(1024));
+    co_await m.device(0).compute(mem_cost(1024));
   };
   KernelRun run(m.engine(), p);
   run.record_finish_times(true);

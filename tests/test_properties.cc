@@ -7,6 +7,7 @@
 //   * collectives preserve their algebraic definitions for any size/world
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <tuple>
 #include <vector>
 
@@ -38,14 +39,13 @@ gpu::Machine::Config machine_config(int nodes, int gpus_per_node) {
 using EmbParam = std::tuple<int, int, int, int, int, gpu::SchedulePolicy>;
 
 std::string emb_param_name(const ::testing::TestParamInfo<EmbParam>& info) {
-  return "n" + std::to_string(std::get<0>(info.param)) + "g" +
-         std::to_string(std::get<1>(info.param)) + "b" +
-         std::to_string(std::get<2>(info.param)) + "t" +
-         std::to_string(std::get<3>(info.param)) + "v" +
-         std::to_string(std::get<4>(info.param)) +
-         (std::get<5>(info.param) == gpu::SchedulePolicy::kCommAware
-              ? "aware"
-              : "obl");
+  std::ostringstream os;
+  os << "n" << std::get<0>(info.param) << "g" << std::get<1>(info.param)
+     << "b" << std::get<2>(info.param) << "t" << std::get<3>(info.param)
+     << "v" << std::get<4>(info.param)
+     << (std::get<5>(info.param) == gpu::SchedulePolicy::kCommAware ? "aware"
+                                                                     : "obl");
+  return os.str();
 }
 
 class EmbeddingSweep : public ::testing::TestWithParam<EmbParam> {};
@@ -106,10 +106,10 @@ INSTANTIATE_TEST_SUITE_P(
 using GemvParam = std::tuple<int, int, int, int>;
 
 std::string gemv_param_name(const ::testing::TestParamInfo<GemvParam>& info) {
-  return "p" + std::to_string(std::get<0>(info.param)) + "m" +
-         std::to_string(std::get<1>(info.param)) + "k" +
-         std::to_string(std::get<2>(info.param)) + "t" +
-         std::to_string(std::get<3>(info.param));
+  std::ostringstream os;
+  os << "p" << std::get<0>(info.param) << "m" << std::get<1>(info.param)
+     << "k" << std::get<2>(info.param) << "t" << std::get<3>(info.param);
+  return os.str();
 }
 
 class GemvSweep : public ::testing::TestWithParam<GemvParam> {};
@@ -167,11 +167,11 @@ INSTANTIATE_TEST_SUITE_P(
 using GemmParam = std::tuple<int, int, int, int, int>;
 
 std::string gemm_param_name(const ::testing::TestParamInfo<GemmParam>& info) {
-  return "p" + std::to_string(std::get<0>(info.param)) + "r" +
-         std::to_string(std::get<1>(info.param)) + "m" +
-         std::to_string(std::get<2>(info.param)) + "f" +
-         std::to_string(std::get<3>(info.param)) + "b" +
-         std::to_string(std::get<4>(info.param));
+  std::ostringstream os;
+  os << "p" << std::get<0>(info.param) << "r" << std::get<1>(info.param)
+     << "m" << std::get<2>(info.param) << "f" << std::get<3>(info.param)
+     << "b" << std::get<4>(info.param);
+  return os.str();
 }
 
 class GemmSweep : public ::testing::TestWithParam<GemmParam> {};
@@ -234,10 +234,11 @@ INSTANTIATE_TEST_SUITE_P(
 using CclParam = std::tuple<int, int, ccl::AllReduceAlgo>;
 
 std::string ccl_param_name(const ::testing::TestParamInfo<CclParam>& info) {
-  return "p" + std::to_string(std::get<0>(info.param)) + "n" +
-         std::to_string(std::get<1>(info.param)) +
-         (std::get<2>(info.param) == ccl::AllReduceAlgo::kRing ? "ring"
-                                                               : "direct");
+  std::ostringstream os;
+  os << "p" << std::get<0>(info.param) << "n" << std::get<1>(info.param)
+     << (std::get<2>(info.param) == ccl::AllReduceAlgo::kRing ? "ring"
+                                                             : "direct");
+  return os.str();
 }
 
 class AllReduceSweep : public ::testing::TestWithParam<CclParam> {};
